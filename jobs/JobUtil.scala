@@ -1,12 +1,8 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
-import repro.harness.{Evolution, EvolutionConfig, EvolutionResult, Sweep, SweepConfig, SweepResult}
 
-/** Shared plumbing for the spark-submit entrypoints. Every job accepts an
-  * optional first argument: the scale factor (default 0.1, the benchmark
-  * scale; tests use 0.01).
-  */
+/** Shared Spark session of the spark-submit entry point and the benchmark. */
 object JobUtil {
 
   def session(name: String): SparkSession =
@@ -16,16 +12,4 @@ object JobUtil {
       .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
-
-  def sf(args: Array[String]): Double = args.headOption.map(_.toDouble).getOrElse(0.1)
-
-  def runSweep(name: String, args: Array[String]): SweepResult = {
-    val spark = session(name)
-    Sweep.run(spark, SweepConfig(sf = sf(args)))
-  }
-
-  def runEvolution(name: String, args: Array[String]): EvolutionResult = {
-    val spark = session(name)
-    Evolution.run(spark, EvolutionConfig(sf = sf(args)))
-  }
 }

@@ -1,7 +1,5 @@
 package repro.core
 
-import scala.collection.mutable
-
 /** Compact undirected weighted graph in CSR form (driver-side).
   *
   * Node ids are the original account ids; `ids` is sorted ascending and node
@@ -13,8 +11,13 @@ import scala.collection.mutable
   * self-loops live separately in `self` (the paper's w_{v,v}). `strength(v)`
   * is W_v = w_{v, V/v}, the total weight from v to *other* nodes — the exact
   * quantity used by the paper's gain equations.
+  *
+  * Every graph — built from an edge list, merged with new blocks, or
+  * aggregated under a node -> cluster map — comes out of the one builder in
+  * the companion, so rows are always sorted by neighbor index and duplicate
+  * edges are always summed in insertion order.
   */
-final class Graph private[core] (
+final class Graph private (
     val n: Int,
     val ids: Array[Long],
     val offsets: Array[Int],
@@ -53,82 +56,130 @@ final class Graph private[core] (
     while (e < offsets(v + 1)) { f(nbr(e), wgt(e)); e += 1 }
   }
 
-  /** Undirected edge list by account id (canonical src <= dst), self-loops
-    * included — the inverse of `Graph.fromEdges`, used for incremental merges.
+  /** Quotient graph under the node -> cluster map `labels` (values in
+    * [0, nc)): cluster c becomes node c with id c, member self-loops and
+    * intra-cluster edges become its self-loop, and inter-cluster edges are
+    * summed. This is both Louvain's aggregation and METIS's coarsening step.
     */
-  def toEdges: IndexedSeq[(Long, Long, Double)] = {
-    val buf = IndexedSeq.newBuilder[(Long, Long, Double)]
-    var v = 0
-    while (v < n) {
-      if (self(v) > 0) buf += ((ids(v), ids(v), self(v)))
-      var e = offsets(v)
-      while (e < offsets(v + 1)) {
-        if (v < nbr(e)) buf += ((ids(v), ids(nbr(e)), wgt(e)))
-        e += 1
-      }
-      v += 1
-    }
-    buf.result()
+  def quotient(labels: Array[Int], nc: Int): Graph = {
+    require(labels.length == n, s"need one label per node: ${labels.length} != $n")
+    val (us, vs, ws) = Graph.triples(this, labels, 0)
+    Graph.build(Array.tabulate(nc)(_.toLong), us, vs, ws)
   }
 }
 
 object Graph {
 
+  /** The empty graph. */
+  val empty: Graph = new Graph(0, Array.emptyLongArray, Array(0), Array.emptyIntArray,
+                               Array.emptyDoubleArray, Array.emptyDoubleArray)
+
   /** Build from an undirected weighted edge list keyed by account id.
     * `(v, v, w)` entries are self-loops. Duplicate pairs (in either direction)
-    * are summed. Deterministic: nodes sorted by id, adjacency sorted by
-    * neighbor index.
+    * are summed in input order. Deterministic: nodes sorted by id, adjacency
+    * sorted by neighbor index.
     */
-  def fromEdges(edges: Iterable[(Long, Long, Double)]): Graph = {
-    // Canonicalize and aggregate.
-    val agg = new mutable.HashMap[(Long, Long), Double]
-    edges.foreach { case (a, b, w) =>
-      val key = if (a <= b) (a, b) else (b, a)
-      agg.update(key, agg.getOrElse(key, 0.0) + w)
-    }
-    val ids = agg.keysIterator.flatMap { case (a, b) => Iterator(a, b) }.toArray.distinct.sorted
-    val n = ids.length
-    val idx = new mutable.HashMap[Long, Int]
-    var i = 0
-    while (i < n) { idx.update(ids(i), i); i += 1 }
+  def fromEdges(edges: Iterable[(Long, Long, Double)]): Graph = merge(empty, edges)
 
-    val self = new Array[Double](n)
-    val deg = new Array[Int](n)
-    val proper = agg.iterator.filter { case ((a, b), _) => a != b }.map { case ((a, b), w) =>
-      val u = idx(a); val v = idx(b)
-      deg(u) += 1; deg(v) += 1
-      (u, v, w)
-    }.toArray
-    agg.foreach { case ((a, b), w) => if (a == b) self(idx(a)) += w }
-
-    val offsets = new Array[Int](n + 1)
-    i = 0
-    while (i < n) { offsets(i + 1) = offsets(i) + deg(i); i += 1 }
-    val cursor = java.util.Arrays.copyOf(offsets, n)
-    val nbr = new Array[Int](proper.length * 2)
-    val wgt = new Array[Double](proper.length * 2)
-    proper.foreach { case (u, v, w) =>
-      nbr(cursor(u)) = v; wgt(cursor(u)) = w; cursor(u) += 1
-      nbr(cursor(v)) = u; wgt(cursor(v)) = w; cursor(v) += 1
+  /** Merge newly committed edges into an existing graph (A-TxAllo step). The
+    * old graph's edges are summed first, so merging batches one at a time
+    * gives the same bits as building from their concatenation.
+    */
+  def merge(g: Graph, newEdges: Iterable[(Long, Long, Double)]): Graph = {
+    val es = newEdges.toArray
+    val ids = distinctSorted(g.ids ++ es.map(_._1) ++ es.map(_._2))
+    val index = (id: Long) => java.util.Arrays.binarySearch(ids, id)
+    val (us, vs, ws) = triples(g, g.ids.map(index), es.length)
+    val base = us.length - es.length
+    for (i <- es.indices) {
+      us(base + i) = index(es(i)._1); vs(base + i) = index(es(i)._2); ws(base + i) = es(i)._3
     }
-    // Sort each adjacency row by neighbor index for deterministic iteration.
-    var v = 0
-    while (v < n) {
-      val lo = offsets(v); val hi = offsets(v + 1)
-      val order = (lo until hi).sortBy(nbr)
-      val nn = order.map(nbr).toArray
-      val ww = order.map(wgt).toArray
-      System.arraycopy(nn, 0, nbr, lo, nn.length)
-      System.arraycopy(ww, 0, wgt, lo, ww.length)
-      v += 1
-    }
-    new Graph(n, ids, offsets, nbr, wgt, self)
+    build(ids, us, vs, ws)
   }
 
-  /** Merge newly committed edges into an existing graph (A-TxAllo step). */
-  def merge(g: Graph, newEdges: Iterable[(Long, Long, Double)]): Graph =
-    fromEdges(g.toEdges ++ newEdges)
+  /** Sorts `xs` in place and returns its distinct values. */
+  private def distinctSorted(xs: Array[Long]): Array[Long] = {
+    java.util.Arrays.sort(xs)
+    var k = 0
+    var i = 0
+    while (i < xs.length) {
+      if (k == 0 || xs(i) != xs(k - 1)) { xs(k) = xs(i); k += 1 }
+      i += 1
+    }
+    java.util.Arrays.copyOf(xs, k)
+  }
 
-  /** The empty graph. */
-  val empty: Graph = fromEdges(Nil)
+  /** `g`'s self-loops and proper edges (each once) as index triples relabelled
+    * by `labels`, node by node in index order, followed by `extra` free slots.
+    */
+  private def triples(g: Graph, labels: Array[Int],
+                      extra: Int): (Array[Int], Array[Int], Array[Double]) = {
+    val m = g.n + g.nbr.length / 2 + extra
+    val us = new Array[Int](m)
+    val vs = new Array[Int](m)
+    val ws = new Array[Double](m)
+    var i = 0
+    var v = 0
+    while (v < g.n) {
+      us(i) = labels(v); vs(i) = labels(v); ws(i) = g.self(v); i += 1
+      var e = g.offsets(v)
+      while (e < g.offsets(v + 1)) {
+        if (g.nbr(e) > v) { us(i) = labels(v); vs(i) = labels(g.nbr(e)); ws(i) = g.wgt(e); i += 1 }
+        e += 1
+      }
+      v += 1
+    }
+    (us, vs, ws)
+  }
+
+  /** The one CSR builder. Triple i is the undirected edge (us(i), vs(i)) of
+    * weight ws(i) over node indices into `ids`; us(i) == vs(i) is a
+    * self-loop. Duplicates in either direction are summed in triple order:
+    * each row is sorted on the primitive key (neighbor << 32 | triple index),
+    * which orders it by neighbor and a neighbor's duplicates by insertion.
+    */
+  private def build(ids: Array[Long], us: Array[Int], vs: Array[Int], ws: Array[Double]): Graph = {
+    val n = ids.length
+    val self = new Array[Double](n)
+    val start = new Array[Int](n + 1)
+    var i = 0
+    while (i < us.length) {
+      if (us(i) == vs(i)) self(us(i)) += ws(i)
+      else { start(us(i) + 1) += 1; start(vs(i) + 1) += 1 }
+      i += 1
+    }
+    var v = 0
+    while (v < n) { start(v + 1) += start(v); v += 1 }
+
+    val keys = new Array[Long](start(n))
+    val cursor = java.util.Arrays.copyOf(start, n)
+    i = 0
+    while (i < us.length) {
+      val a = us(i); val b = vs(i)
+      if (a != b) {
+        keys(cursor(a)) = b.toLong << 32 | i; cursor(a) += 1
+        keys(cursor(b)) = a.toLong << 32 | i; cursor(b) += 1
+      }
+      i += 1
+    }
+
+    val offsets = new Array[Int](n + 1)
+    val nbr = new Array[Int](keys.length)
+    val wgt = new Array[Double](keys.length)
+    var o = 0
+    v = 0
+    while (v < n) {
+      java.util.Arrays.sort(keys, start(v), start(v + 1))
+      var e = start(v)
+      while (e < start(v + 1)) {
+        val u = (keys(e) >>> 32).toInt
+        if (o == offsets(v) || nbr(o - 1) != u) { nbr(o) = u; o += 1 }
+        wgt(o - 1) += ws(keys(e).toInt)
+        e += 1
+      }
+      offsets(v + 1) = o
+      v += 1
+    }
+    new Graph(n, ids, offsets, java.util.Arrays.copyOf(nbr, o), java.util.Arrays.copyOf(wgt, o), self)
+  }
 }

@@ -1,7 +1,5 @@
 package repro.core
 
-import scala.collection.mutable
-
 /** Deterministic multilevel Louvain community detection (paper Section V-B
   * initialization; Blondel et al. 2008).
   *
@@ -13,24 +11,28 @@ import scala.collection.mutable
   */
 object Louvain {
 
+  /** Caps on aggregation levels and on local-move sweeps per level. */
+  private val MaxLevels = 20
+  private val MaxSweeps = 20
+
   /** Community label per node index, compacted to 0..l-1 in order of first
     * occurrence by node index. The number of communities l is discovered by
     * the algorithm (typically l >> k on long-tailed transaction graphs).
     */
-  def cluster(g: Graph, maxLevels: Int = 20, maxSweeps: Int = 20): Array[Int] = {
+  def cluster(g: Graph): Array[Int] = {
     var cur = g
     // mapping(v) = community of original node v in the current level's graph
     var mapping = Array.tabulate(g.n)(identity)
     var level = 0
     var done = false
-    while (!done && level < maxLevels) {
-      val comm = localMoves(cur, maxSweeps)
+    while (!done && level < MaxLevels) {
+      val comm = localMoves(cur)
       val labels = compact(comm)
       val nc = if (labels.isEmpty) 0 else labels.max + 1
       if (nc == cur.n) done = true
       else {
         mapping = mapping.map(labels)
-        cur = coarsen(cur, labels, nc)
+        cur = cur.quotient(labels, nc)
         level += 1
       }
     }
@@ -58,7 +60,7 @@ object Louvain {
   }
 
   /** One level of sequential local moves; returns raw community labels. */
-  private def localMoves(g: Graph, maxSweeps: Int): Array[Int] = {
+  private def localMoves(g: Graph): Array[Int] = {
     val n = g.n
     val comm = Array.tabulate(n)(identity)
     val k = Array.tabulate(n)(v => g.strength(v) + 2 * g.self(v))
@@ -70,7 +72,7 @@ object Louvain {
     val touched = new Array[Int](n)
     var sweep = 0
     var moved = true
-    while (moved && sweep < maxSweeps) {
+    while (moved && sweep < MaxSweeps) {
       moved = false
       var v = 0
       while (v < n) {
@@ -108,38 +110,15 @@ object Louvain {
     comm
   }
 
-  /** Relabel to 0..l-1 in order of first occurrence (ascending node index). */
-  private[core] def compact(comm: Array[Int]): Array[Int] = {
-    val map = new mutable.HashMap[Int, Int]
-    comm.map(c => map.getOrElseUpdate(c, map.size))
-  }
-
-  /** Aggregate communities into supernodes: intra weight (plus member
-    * self-loops) becomes the supernode's self-loop; inter-community weights
-    * are summed.
+  /** Relabel to 0..l-1 in order of first occurrence (ascending node index).
+    * Labels are node indices of the current level, so they lie in [0, n).
     */
-  private def coarsen(g: Graph, labels: Array[Int], nc: Int): Graph = {
-    val selfC = new Array[Double](nc)
-    val inter = new mutable.HashMap[(Long, Long), Double]
-    var v = 0
-    while (v < g.n) {
-      val cv = labels(v)
-      selfC(cv) += g.self(v)
-      g.foreachNbr(v) { (u, w) =>
-        if (u > v) {
-          val cu = labels(u)
-          if (cu == cv) selfC(cv) += w
-          else {
-            val key = if (cv <= cu) (cv.toLong, cu.toLong) else (cu.toLong, cv.toLong)
-            inter.update(key, inter.getOrElse(key, 0.0) + w)
-          }
-        }
-      }
-      v += 1
+  private def compact(comm: Array[Int]): Array[Int] = {
+    val relabel = Array.fill(comm.length)(-1)
+    var next = 0
+    comm.map { c =>
+      if (relabel(c) < 0) { relabel(c) = next; next += 1 }
+      relabel(c)
     }
-    val edges =
-      (0 until nc).map(c => (c.toLong, c.toLong, selfC(c))) ++
-        inter.iterator.map { case ((a, b), w) => (a, b, w) }
-    Graph.fromEdges(edges)
   }
 }

@@ -1,27 +1,31 @@
 package repro.metis
 
+import repro.core.Graph
+
 /** Uncoarsening refinement: FM-style greedy boundary moves.
   *
   * Sweeps nodes in ascending index; a node moves to the neighboring part with
   * the largest positive cut-gain (w_to_target - w_to_own) provided the target
-  * stays under the balance cap. Sweeps repeat until no node moves (bounded by
-  * `maxSweeps`). Deterministic and, like METIS, only aware of *vertex weight*
+  * stays under the balance cap. Sweeps repeat until no node moves (at most
+  * `MaxSweeps`). Deterministic and, like METIS, only aware of *vertex weight*
   * balance — never of the blockchain workload.
   */
 object Refinement {
 
-  def refine(g: WGraph, part: Array[Int], k: Int, imbalance: Double,
-             maxSweeps: Int = 5): Array[Int] = {
-    val cap = g.totalNodeW / k * (1.0 + imbalance)
+  private val MaxSweeps = 5
+
+  def refine(g: Graph, nodeW: Array[Double], part: Array[Int], k: Int,
+             imbalance: Double): Array[Int] = {
+    val cap = nodeW.sum / k * (1.0 + imbalance)
     val load = new Array[Double](k)
     var v = 0
-    while (v < g.n) { load(part(v)) += g.nodeW(v); v += 1 }
+    while (v < g.n) { load(part(v)) += nodeW(v); v += 1 }
 
     val conn = new Array[Double](k)
     val touched = new Array[Int](k)
     var sweep = 0
     var moved = true
-    while (moved && sweep < maxSweeps) {
+    while (moved && sweep < MaxSweeps) {
       moved = false
       v = 0
       while (v < g.n) {
@@ -41,7 +45,7 @@ object Refinement {
         var bestGain = if (overloaded) Double.NegativeInfinity else 0.0
         var q = 0
         while (q < k) {
-          if (q != p && load(q) + g.nodeW(v) <= cap && (overloaded || conn(q) > 0)) {
+          if (q != p && load(q) + nodeW(v) <= cap && (overloaded || conn(q) > 0)) {
             val gain = conn(q) - conn(p)
             if (gain > bestGain + 1e-12 ||
                 (best >= 0 && math.abs(gain - bestGain) <= 1e-12 && load(q) < load(best) - 1e-12))
@@ -52,9 +56,9 @@ object Refinement {
         var t = 0
         while (t < nt) { conn(touched(t)) = 0.0; t += 1 }
         conn(p) = 0.0
-        if (best >= 0 && (bestGain > 0 || (overloaded && load(p) - g.nodeW(v) >= load(best)))) {
-          load(p) -= g.nodeW(v)
-          load(best) += g.nodeW(v)
+        if (best >= 0 && (bestGain > 0 || (overloaded && load(p) - nodeW(v) >= load(best)))) {
+          load(p) -= nodeW(v)
+          load(best) += nodeW(v)
           part(v) = best
           moved = true
         }

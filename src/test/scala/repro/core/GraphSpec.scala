@@ -66,18 +66,6 @@ class GraphSpec extends AnyFunSuite {
     assert(seen.toSet == Set((g3.indexOf(1L), 1.0), (g3.indexOf(3L), 2.0)))
   }
 
-  test("toEdges/fromEdges round-trips") {
-    val g = TestUtil.randomGraph(40, 150, 8, seed = 2)
-    val g2 = Graph.fromEdges(g.toEdges)
-    assert(g2.n == g.n)
-    assert(g2.ids.toSeq == g.ids.toSeq)
-    assert(math.abs(g2.totalWeight - g.totalWeight) < 1e-9)
-    (0 until g.n).foreach { v =>
-      assert(math.abs(g2.strength(v) - g.strength(v)) < 1e-9)
-      assert(math.abs(g2.self(v) - g.self(v)) < 1e-9)
-    }
-  }
-
   test("merge sums overlapping edges and adds new nodes") {
     val g = Graph.fromEdges(Seq((1L, 2L, 1.0)))
     val m = Graph.merge(g, Seq((1L, 2L, 0.5), (2L, 9L, 2.0), (9L, 9L, 1.0)))
@@ -91,7 +79,34 @@ class GraphSpec extends AnyFunSuite {
   test("empty graph") {
     assert(Graph.empty.n == 0)
     assert(Graph.empty.totalWeight == 0.0)
-    assert(Graph.empty.toEdges.isEmpty)
+    assert(Graph.fromEdges(Nil).offsets.toSeq == Seq(0))
+  }
+
+  test("quotient under identity labels returns the same arrays") {
+    val g = TestUtil.randomGraph(40, 150, 8, seed = 2)
+    val q = g.quotient(Array.tabulate(g.n)(identity), g.n)
+    assert(q.ids.toSeq == (0L until g.n.toLong))
+    assert(java.util.Arrays.equals(q.offsets, g.offsets))
+    assert(java.util.Arrays.equals(q.nbr, g.nbr))
+    assert(java.util.Arrays.equals(q.wgt, g.wgt))
+    assert(java.util.Arrays.equals(q.self, g.self))
+  }
+
+  test("quotient under one label is a single node whose self-loop is totalWeight") {
+    val g = TestUtil.randomGraph(40, 150, 8, seed = 3)
+    val q = g.quotient(new Array[Int](g.n), 1)
+    assert(q.n == 1 && q.degree(0) == 0)
+    assert(math.abs(q.self(0) - g.totalWeight) < 1e-9)
+  }
+
+  test("quotient sums inter-cluster edges and keeps empty clusters") {
+    // 0-1 (1.0) and 2-3 (2.0) inside clusters; 1-2 (0.5) and 0-3 (0.25) across.
+    val g = Graph.fromEdges(Seq((0L, 1L, 1.0), (1L, 2L, 0.5), (2L, 3L, 2.0), (0L, 3L, 0.25)))
+    val q = g.quotient(Array(0, 0, 2, 2), 3)
+    assert(q.n == 3)
+    assert(q.self.toSeq == Seq(1.0, 0.0, 2.0))
+    assert(q.nbr.toSeq == Seq(2, 0) && q.wgt.toSeq == Seq(0.75, 0.75))
+    assert(q.degree(1) == 0)
   }
 
   for (seed <- 1 to 10) {

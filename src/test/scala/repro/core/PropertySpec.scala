@@ -30,12 +30,48 @@ class PropertySpec extends AnyFunSuite {
     })
   }
 
+  /** Undirected edge list by account id (each proper edge once, self-loops
+    * included), read back from the CSR arrays.
+    */
+  private def toEdges(g: Graph): IndexedSeq[(Long, Long, Double)] =
+    (0 until g.n).flatMap { v =>
+      val loop = if (g.self(v) > 0) Seq((g.ids(v), g.ids(v), g.self(v))) else Nil
+      loop ++ (g.offsets(v) until g.offsets(v + 1)).collect {
+        case e if v < g.nbr(e) => (g.ids(v), g.ids(g.nbr(e)), g.wgt(e))
+      }
+    }
+
   test("graph round-trips through toEdges") {
     check("roundtrip", Prop.forAll(genEdges) { edges =>
       val g = Graph.fromEdges(edges)
-      val g2 = Graph.fromEdges(g.toEdges)
+      val g2 = Graph.fromEdges(toEdges(g))
       g2.n == g.n && math.abs(g2.totalWeight - g.totalWeight) < 1e-6 &&
       (0 until g.n).forall(v => math.abs(g2.strength(v) - g.strength(v)) < 1e-6)
+    })
+  }
+
+  private def sameArrays(a: Graph, b: Graph): Boolean =
+    java.util.Arrays.equals(a.ids, b.ids) && java.util.Arrays.equals(a.offsets, b.offsets) &&
+      java.util.Arrays.equals(a.nbr, b.nbr) && java.util.Arrays.equals(a.wgt, b.wgt) &&
+      java.util.Arrays.equals(a.self, b.self)
+
+  test("merging no edges returns the same arrays") {
+    check("merge-nil", Prop.forAll(genEdges) { edges =>
+      val g = Graph.fromEdges(edges)
+      sameArrays(Graph.merge(g, Nil), g)
+    })
+  }
+
+  test("merging 12 batches one at a time equals building from their concatenation, bit for bit") {
+    // Irrational-looking weights, so any change in summation order shows in the bits.
+    val genBatch = Gen.listOf(for {
+      a <- Gen.choose(0L, 29L)
+      b <- Gen.choose(0L, 29L)
+      w <- Gen.choose(0.01, 3.0)
+    } yield (a, b, w))
+    check("merge-batches", Prop.forAll(Gen.listOfN(12, genBatch)) { batches =>
+      val merged = batches.foldLeft(Graph.empty)(Graph.merge)
+      sameArrays(merged, Graph.fromEdges(batches.flatten))
     })
   }
 
