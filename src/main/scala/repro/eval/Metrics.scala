@@ -1,7 +1,7 @@
 package repro.eval
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
+import scala.collection.mutable
 
 /** Per-shard load of an allocation under the blockchain model (Section III-B).
   *
@@ -29,13 +29,11 @@ final case class MetricsResult(
     avgLatency: Double, worstLatency: Double,
     shards: Seq[ShardLoad])
 
-/** Computes the paper's blockchain-level metrics with Spark DataFrame
-  * aggregations. Every transaction's mu (number of involved shards) comes
-  * from joining the exploded (txId, account) pairs with the allocation —
-  * exactly Definition `T_i = { Tx | A_Tx intersect A_i != empty }`.
-  *
-  * All aggregates have straightforward SQL equivalents and are checked
-  * against DuckDB by `repro.eval.MetricsSpec` via `repro.Oracle`.
+/** Computes the paper's blockchain-level metrics in one driver pass over the
+  * collected inputs. A transaction's mu is the number of distinct shards its
+  * accounts map to (Definition `T_i = { Tx | A_Tx intersect A_i != empty }`).
+  * Transactions are summed in ascending txId, so no result depends on Spark
+  * partitioning. Checked against DuckDB by `repro.eval.MetricsSpec`.
   */
 object Metrics {
 
@@ -47,37 +45,38 @@ object Metrics {
     */
   def evaluate(txAccounts: DataFrame, alloc: DataFrame, k: Int, eta: Double,
                lambdaOpt: Option[Double] = None): MetricsResult = {
-    // Distinct (txId, shard) incidence, then mu per transaction.
-    val txShard = txAccounts
-      .join(alloc, "account")
-      .select(col("txId"), col("shard"))
-      .distinct()
-    val mu = txShard.groupBy("txId").agg(count(lit(1)) as "mu")
-
-    val Array(nTxRow) = mu
-      .agg(count(lit(1)) as "n",
-           coalesce(sum(when(col("mu") > 1, 1L).otherwise(0L)), lit(0L)) as "nCross")
-      .collect()
-    val nTx = nTxRow.getLong(0)
-    val nCross = nTxRow.getLong(1)
-    require(nTx > 0, "no transactions survived the allocation join — incomplete allocation?")
-    val gamma = nCross.toDouble / nTx
+    val shardOf = mutable.LongMap.empty[Int]
+    alloc.select("account", "shard").collect().foreach { r =>
+      val (a, s) = (r.getLong(0), r.getInt(1))
+      require(s >= 0 && s < k, s"account $a mapped to shard $s outside [0,$k)")
+      require(shardOf.put(a, s).isEmpty, s"account $a mapped to more than one shard")
+    }
+    // One key `txRank << 32 | shard` per pair, txRank being the position of
+    // the txId in the sorted txIds: the sorted keys run in ascending txId.
+    val pairs = txAccounts.select("txId", "account").collect()
+    val txIds = pairs.map(_.getLong(0)).sorted
+    val keys = pairs.map { r =>
+      val a = r.getLong(1)
+      val s = shardOf.getOrElse(a, throw new IllegalArgumentException(s"account $a unallocated"))
+      java.util.Arrays.binarySearch(txIds, r.getLong(0)).toLong << 32 | s
+    }.sorted
+    val firsts = Array.range(0, keys.length).filter(i => i == 0 || keys(i) != keys(i - 1))
+    val mu = new Array[Int](keys.length) // distinct shards, by txRank
+    firsts.foreach(i => mu((keys(i) >>> 32).toInt) += 1)
+    val intra, cross = new Array[Long](k)
+    val lamHats = new Array[Double](k)
+    firsts.foreach { i =>
+      val (m, s) = (mu((keys(i) >>> 32).toInt), keys(i).toInt)
+      if (m == 1) intra(s) += 1 else cross(s) += 1
+      lamHats(s) += 1.0 / m
+    }
+    val nTx = mu.count(_ > 0)
+    require(nTx > 0, "no transactions to evaluate")
+    val gamma = mu.count(_ > 1).toDouble / nTx
     val lambda = lambdaOpt.getOrElse(nTx.toDouble / k)
 
-    val perShard = txShard
-      .join(mu, "txId")
-      .groupBy("shard")
-      .agg(
-        sum(when(col("mu") === 1, 1L).otherwise(0L)) as "txIntra",
-        sum(when(col("mu") > 1, 1L).otherwise(0L)) as "txCross",
-        sum(lit(1.0) / col("mu")) as "lamHat")
-      .collect()
-      .map(r => r.getInt(0) -> ((r.getLong(1), r.getLong(2), r.getDouble(3))))
-      .toMap
-
     val shards = (0 until k).map { s =>
-      val (intra, cross, lamHat) = perShard.getOrElse(s, (0L, 0L, 0.0))
-      ShardLoad(s, intra, cross, intra + eta * cross, lamHat)
+      ShardLoad(s, intra(s), cross(s), intra(s) + eta * cross(s), lamHats(s))
     }
 
     val sigmas = shards.map(_.sigma)

@@ -65,7 +65,8 @@ object Evolution {
         .collect()
         .map(r => (r.getLong(0), r.getLong(1), r.getDouble(2)))
         .toIndexedSeq
-      val active = txAcc.select("account").distinct().collect().map(_.getLong(0)).toSet
+      // Every account of a transaction is an endpoint of its self-loop or pair edges.
+      val active = edges.iterator.flatMap(e => Iterator(e._1, e._2)).toSet
       Step(txAcc, edges, active)
     }
 
