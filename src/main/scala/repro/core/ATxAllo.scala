@@ -4,9 +4,10 @@ package repro.core
   *
   * Inputs: the *current* full transaction graph (previous history merged with
   * the newly committed blocks), the previous account-shard mapping, and the
-  * set V-hat of accounts appearing in the new blocks. Only new accounts are
-  * join-allocated (Eq. 6) and only V-hat nodes are re-optimized (Eq. 8), so
-  * the running time is O(|V-hat| * k) — constant per step as the chain grows.
+  * set V-hat of accounts appearing in the new blocks. The previous mapping
+  * seeds `MoveLoop.run`, so only new accounts are join-allocated (Eq. 6) and
+  * only they and V-hat are re-optimized (Eq. 8): O(|V-hat| * k) node visits
+  * per sweep, constant per step as the chain grows.
   */
 object ATxAllo {
 
@@ -29,27 +30,7 @@ object ATxAllo {
       }
       v += 1
     }
-    st.recompute()
 
-    // Algorithm 2 lines 1-8: join-allocate new nodes (ascending account id).
-    val newNodes = (0 until g.n).filter(st.comm(_) == AllocState.Unassigned)
-    MoveLoop.joinPhase(st, newNodes)
-    st.recompute()
-    val initThroughput = st.totalThroughput
-
-    // Algorithm 2 lines 9-17: optimize over V-hat only.
-    val activeIdx =
-      ((newNodes.iterator ++ active.iterator.map(g.indexOf).filter(_ >= 0))
-        .toArray.distinct.sorted)
-    val sweeps = MoveLoop.optimize(st, activeIdx)
-    st.recompute()
-
-    AllocResult(
-      ids = g.ids,
-      assign = st.comm.clone(),
-      initThroughput = initThroughput,
-      finalThroughput = st.totalThroughput,
-      sweeps = sweeps,
-      millis = (System.nanoTime() - t0) / 1000000L)
+    MoveLoop.run(st, active.iterator.map(g.indexOf).filter(_ >= 0), t0)
   }
 }

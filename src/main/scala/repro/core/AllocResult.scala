@@ -5,8 +5,10 @@ package repro.core
   * @param ids             account ids, aligned with `assign`
   * @param assign          shard per node index (all in [0, k))
   * @param initThroughput  modeled graph throughput after the join phase
-  * @param finalThroughput modeled graph throughput at convergence
+  * @param finalThroughput modeled graph throughput after the last sweep
   * @param sweeps          optimization sweeps executed
+  * @param converged       whether the last sweep's gain fell below epsilon
+  *                        (false: the run stopped at `maxSweeps`)
   * @param millis          wall-clock running time of the whole algorithm
   */
 final case class AllocResult(
@@ -15,6 +17,7 @@ final case class AllocResult(
     initThroughput: Double,
     finalThroughput: Double,
     sweeps: Int,
+    converged: Boolean,
     millis: Long) {
 
   require(ids.length == assign.length, "ids/assign length mismatch")

@@ -1,14 +1,43 @@
 package repro.core
 
-/** Shared deterministic sweep machinery of Algorithms 1 and 2.
-  *
-  * Both G-TxAllo and A-TxAllo consist of (a) a join phase allocating
-  * unassigned nodes by best join gain (Eq. 6), and (b) optimization sweeps
-  * moving nodes by best total gain (Eq. 8) until the per-sweep gain drops
-  * below epsilon. Nodes are visited in ascending node index (= ascending
+/** The one driver of Algorithms 1 and 2. G-TxAllo and A-TxAllo differ only in
+  * their starting mapping and in the node set they re-optimize (paper
+  * Section IV-C). Nodes are visited in ascending node index (= ascending
   * account id), the paper's deterministic order.
   */
 private[core] object MoveLoop {
+
+  /** Join-allocate the nodes left unassigned in `st.comm` (Eq. 6), then sweep
+    * them and `active` by total gain (Eq. 8) until the per-sweep gain drops
+    * below epsilon or `maxSweeps` is reached. State is recomputed from
+    * scratch after the join phase and after every sweep to kill
+    * floating-point drift. `t0` is the caller's `System.nanoTime()` start.
+    */
+  def run(st: AllocState, active: Iterator[Int], t0: Long): AllocResult = {
+    st.recompute()
+    val unassigned = (0 until st.g.n).filter(st.comm(_) == AllocState.Unassigned)
+    joinPhase(st, unassigned)
+    st.recompute()
+    val initThroughput = st.totalThroughput
+
+    val order = (unassigned.iterator ++ active).toArray.distinct.sorted
+    var sweeps = 0
+    var delta = Double.PositiveInfinity
+    while (delta >= st.params.epsilon && sweeps < st.params.maxSweeps) {
+      delta = sweep(st, order)
+      st.recompute()
+      sweeps += 1
+    }
+
+    AllocResult(
+      ids = st.g.ids,
+      assign = st.comm.clone(),
+      initThroughput = initThroughput,
+      finalThroughput = st.totalThroughput,
+      sweeps = sweeps,
+      converged = delta < st.params.epsilon,
+      millis = (System.nanoTime() - t0) / 1000000L)
+  }
 
   /** Allocate every node of `order` (must currently be Unassigned) into the
     * community with the largest join gain (Algorithm 1 lines 2-9 /
@@ -16,7 +45,7 @@ private[core] object MoveLoop {
     * all k communities are candidates (the paper's forced C_v). Ties prefer
     * the lighter, then lower-indexed community.
     */
-  def joinPhase(st: AllocState, order: Iterable[Int]): Unit = {
+  private def joinPhase(st: AllocState, order: Iterable[Int]): Unit = {
     val k = st.k
     order.foreach { v =>
       val nt = st.gatherNeighborWeights(v)
@@ -45,50 +74,43 @@ private[core] object MoveLoop {
     }
   }
 
-  /** Optimization sweeps over `order` (Algorithm 1 lines 10-19 / Algorithm 2
-    * lines 9-17): each node may move to a connected community when the total
-    * throughput gain (leave + join, Eq. 8) is strictly positive. Returns the
-    * number of sweeps executed. State is recomputed from scratch at each
-    * sweep boundary to kill floating-point drift.
+  /** One optimization sweep over `order` (Algorithm 1 lines 10-19 /
+    * Algorithm 2 lines 9-17): each node may move to a connected community
+    * when the total throughput gain (leave + join, Eq. 8) is strictly
+    * positive. Returns the sweep's total gain.
     */
-  def optimize(st: AllocState, order: Array[Int]): Int = {
-    var sweeps = 0
-    var delta = Double.PositiveInfinity
-    while (delta >= st.params.epsilon && sweeps < st.params.maxSweeps) {
-      st.recompute()
-      delta = 0.0
-      var i = 0
-      while (i < order.length) {
-        val v = order(i)
-        val p = st.comm(v)
-        val nt = st.gatherNeighborWeights(v)
-        val lg = st.leaveGain(v, st.weightTo(p))
-        var best = -1
-        var bestGain = 0.0 // only strictly positive total gains move v
-        var bestW = 0.0
-        var t = 0
-        while (t < nt) {
-          val q = st.touchedComm(t)
-          if (q != p) {
-            val gain = lg + st.joinGain(v, q, st.weightTo(q))
-            if (gain > bestGain + 1e-12 ||
-                (best >= 0 && math.abs(gain - bestGain) <= 1e-12 && beats(st, q, best))) {
-              best = q; bestGain = gain; bestW = st.weightTo(q)
-            }
+  private def sweep(st: AllocState, order: Array[Int]): Double = {
+    var delta = 0.0
+    var i = 0
+    while (i < order.length) {
+      val v = order(i)
+      val p = st.comm(v)
+      val nt = st.gatherNeighborWeights(v)
+      val lg = st.leaveGain(v, st.weightTo(p))
+      var best = -1
+      var bestGain = 0.0 // only strictly positive total gains move v
+      var bestW = 0.0
+      var t = 0
+      while (t < nt) {
+        val q = st.touchedComm(t)
+        if (q != p) {
+          val gain = lg + st.joinGain(v, q, st.weightTo(q))
+          if (gain > bestGain + 1e-12 ||
+              (best >= 0 && math.abs(gain - bestGain) <= 1e-12 && beats(st, q, best))) {
+            best = q; bestGain = gain; bestW = st.weightTo(q)
           }
-          t += 1
         }
-        val wvp = st.weightTo(p)
-        st.clearScratch(nt)
-        if (best >= 0) {
-          st.applyMove(v, best, wvp, bestW)
-          delta += bestGain
-        }
-        i += 1
+        t += 1
       }
-      sweeps += 1
+      val wvp = st.weightTo(p)
+      st.clearScratch(nt)
+      if (best >= 0) {
+        st.applyMove(v, best, wvp, bestW)
+        delta += bestGain
+      }
+      i += 1
     }
-    sweeps
+    delta
   }
 
   /** Candidate comparison: strictly larger gain wins; ties prefer the lighter

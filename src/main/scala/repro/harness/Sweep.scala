@@ -20,9 +20,12 @@ final case class SweepConfig(
     caseStudyEta: Double = 2.0,
     seed: Long = 42L)
 
-/** One (method, k, eta) cell of the sweep, carrying every T2-T8 metric. */
+/** One (method, k, eta) cell of the sweep, carrying every T2-T8 metric.
+  * `converged` is G-TxAllo's flag (`AllocResult.converged`); the baselines
+  * have no convergence criterion and report true.
+  */
 final case class SweepRow(method: String, k: Int, eta: Double,
-                          metrics: MetricsResult, allocMillis: Long) {
+                          metrics: MetricsResult, allocMillis: Long, converged: Boolean) {
   def gamma: Double = metrics.gamma
   def rho: Double = metrics.rho
   def normThroughput: Double = metrics.normThroughput
@@ -74,17 +77,19 @@ object Sweep {
 
       val (metisMap, metisMs) = Metis.allocate(g, k)
       val metisDf = Alloc.toDf(spark, metisMap)
+      // The scheduler's mapping does not depend on eta: one run per k.
+      val (schedMap, schedMs) = ShardScheduler.allocate(txSeq.iterator, k, eta = 1.0)
+      val schedDf = Alloc.toDf(spark, schedMap)
 
       for (eta <- cfg.etas) {
         val gtx = GTxAllo.run(g, TxAlloParams.default(g, k, eta))
         val gtxDf = Alloc.toDf(spark, gtx.toMap)
-        val (schedMap, schedMs) = ShardScheduler.allocate(txSeq.iterator, k, eta)
-        val schedDf = Alloc.toDf(spark, schedMap)
 
-        rows += SweepRow(MethodHash, k, eta, Metrics.evaluate(txAcc, hashDf, k, eta), hashMs)
-        rows += SweepRow(MethodMetis, k, eta, Metrics.evaluate(txAcc, metisDf, k, eta), metisMs)
-        rows += SweepRow(MethodScheduler, k, eta, Metrics.evaluate(txAcc, schedDf, k, eta), schedMs)
-        rows += SweepRow(MethodTxAllo, k, eta, Metrics.evaluate(txAcc, gtxDf, k, eta), gtx.millis)
+        rows += SweepRow(MethodHash, k, eta, Metrics.evaluate(txAcc, hashDf, k, eta), hashMs, true)
+        rows += SweepRow(MethodMetis, k, eta, Metrics.evaluate(txAcc, metisDf, k, eta), metisMs, true)
+        rows += SweepRow(MethodScheduler, k, eta, Metrics.evaluate(txAcc, schedDf, k, eta), schedMs, true)
+        rows += SweepRow(MethodTxAllo, k, eta, Metrics.evaluate(txAcc, gtxDf, k, eta), gtx.millis,
+                         gtx.converged)
       }
       hashDf.unpersist()
     }

@@ -43,9 +43,15 @@ object Tables {
     sb.result()
   }
 
-  /** T8: allocation running time (seconds). */
-  def runningTimeTable(res: SweepResult): String =
-    sweepTable("T8 allocation running time [s]", res, _.allocMillis / 1000.0)
+  /** T8: allocation running time (seconds), then the G-TxAllo cells that
+    * stopped at the sweep cap without converging.
+    */
+  def runningTimeTable(res: SweepResult): String = {
+    val capped = res.rows.filter(r => r.method == Sweep.MethodTxAllo && !r.converged)
+    sweepTable("T8 allocation running time [s]", res, _.allocMillis / 1000.0) +
+      "G-TxAllo cells stopped at the sweep cap without converging: " +
+      (if (capped.isEmpty) "none" else capped.map(r => s"(k=${r.k}, eta=${r.eta})").mkString(" ")) + "\n"
+  }
 
   /** T9: throughput evolution per strategy + per-strategy averages. */
   def evolutionTable(res: EvolutionResult): String = {

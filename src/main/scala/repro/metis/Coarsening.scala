@@ -9,7 +9,8 @@ import repro.core.Graph
   * matched pair becomes one coarse node whose vertex weight is the sum and
   * whose adjacency is the aggregated union (`Graph.quotient`: intra-pair
   * edges move into the self-loop, which the partitioner ignores — edge cut
-  * only ever shrinks under coarsening).
+  * only ever shrinks under coarsening). `Metis` applies one pass per level of
+  * its recursion.
   */
 object Coarsening {
 
@@ -43,26 +44,5 @@ object Coarsening {
     v = 0
     while (v < g.n) { coarseW(map(v)) += nodeW(v); v += 1 }
     (g.quotient(map, nc), coarseW, map)
-  }
-
-  /** Coarsen until `targetN` nodes or the matching stalls (< 5% shrink).
-    * Returns the level stack: (graph, vertex weights) per level and the
-    * fine->coarse maps, finest first.
-    */
-  def coarsen(g: Graph, nodeW: Array[Double], targetN: Int,
-              maxNodeW: Double = Double.PositiveInfinity): (List[(Graph, Array[Double])], List[Array[Int]]) = {
-    var levels = List((g, nodeW))
-    var maps = List.empty[Array[Int]]
-    var stalled = false
-    while (levels.head._1.n > targetN && !stalled) {
-      val (cur, curW) = levels.head
-      val (coarse, coarseW, map) = coarsenOnce(cur, curW, maxNodeW)
-      if (coarse.n >= cur.n * 0.95) stalled = true
-      else {
-        levels = (coarse, coarseW) :: levels
-        maps = map :: maps
-      }
-    }
-    (levels.reverse, maps.reverse) // maps(i): levels(i) -> levels(i+1)
   }
 }

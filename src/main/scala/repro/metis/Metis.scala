@@ -5,11 +5,13 @@ import repro.core.Graph
 /** METIS-like multilevel k-way partitioner (baseline of Fynn et al. /
   * BrokerChain; see DESIGN.md substitution #2).
   *
-  * Pipeline: heavy-edge-matching coarsening -> greedy weighted seeding on the
-  * coarsest graph -> projection + FM-style refinement at every level. The
-  * objective is minimal edge cut under *vertex-weight* balance; the paper's
-  * point is precisely that this objective ignores the cross-shard workload
-  * factor eta, so METIS allocations overload the hub account's shard.
+  * Recursive multilevel scheme (Karypis & Kumar, SIAM J. Sci. Comput. 1998):
+  * coarsen by heavy-edge matching, partition the coarse graph, project the
+  * parts back and refine them FM-style; the coarsest graph gets a greedy
+  * weighted seeding. The objective is minimal edge cut under *vertex-weight*
+  * balance; the paper's point is precisely that this objective ignores the
+  * cross-shard workload factor eta, so METIS allocations overload the hub
+  * account's shard.
   */
 object Metis {
 
@@ -27,23 +29,28 @@ object Metis {
     // workload, which is exactly the mismatch the paper criticizes
     // (Section II-C) and which our evaluation must reproduce.
     val nodeW = Array.tabulate(g.n)(v => g.strength(v) + 2 * g.self(v))
-    val targetN = math.max(4 * k, 128)
     // METIS maxvwgt: coarse nodes stay individually balanceable.
-    val (levels, maps) = Coarsening.coarsen(g, nodeW, targetN, nodeW.sum / (3.0 * k))
+    multilevel(g, nodeW, k, math.max(4 * k, 128), nodeW.sum / (3.0 * k))
+  }
 
-    val (cg, cw) = levels.last
-    var part = Refinement.refine(cg, cw, InitialPartition.seed(cg, cw, k, Imbalance), k, Imbalance)
-
-    // Uncoarsen: project through each level (maps(i): levels(i)->levels(i+1)).
-    var i = levels.length - 2
-    while (i >= 0) {
-      val (fine, fineW) = levels(i)
-      val map = maps(i)
-      val projected = Array.tabulate(fine.n)(v => part(map(v)))
-      part = Refinement.refine(fine, fineW, projected, k, Imbalance)
-      i -= 1
+  /** Partition `g` (vertex weights `nodeW`) and refine the result. Above
+    * `targetN` nodes, one heavy-edge matching coarsens the graph, the coarse
+    * graph is partitioned recursively and its parts are projected back
+    * through the fine->coarse map. At or below `targetN` nodes, or when the
+    * matching stalls (< 5% shrink), the graph is seeded directly.
+    */
+  private def multilevel(g: Graph, nodeW: Array[Double], k: Int, targetN: Int,
+                         maxNodeW: Double): Array[Int] = {
+    val coarsened =
+      if (g.n <= targetN) None
+      else Some(Coarsening.coarsenOnce(g, nodeW, maxNodeW)).filter(_._1.n < g.n * 0.95)
+    val part = coarsened match {
+      case Some((coarse, coarseW, map)) =>
+        val coarsePart = multilevel(coarse, coarseW, k, targetN, maxNodeW)
+        Array.tabulate(g.n)(v => coarsePart(map(v)))
+      case None => InitialPartition.seed(g, nodeW, k, Imbalance)
     }
-    part
+    Refinement.refine(g, nodeW, part, k, Imbalance)
   }
 
   /** Timed run keyed by account id (the harness-facing entrypoint). */

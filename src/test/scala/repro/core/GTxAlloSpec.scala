@@ -126,7 +126,18 @@ class GTxAlloSpec extends AnyFunSuite {
 
   test("converges within the sweep cap") {
     val (g, _) = TestUtil.planted(6, 20, 50, 40, seed = 31)
-    val res = run(g, 5)
-    assert(res.sweeps < 500, s"hit the sweep cap: ${res.sweeps}")
+    val p = TxAlloParams.default(g, 5, 2.0)
+    val res = GTxAllo.run(g, p)
+    assert(res.converged)
+    assert(res.sweeps < p.maxSweeps, s"hit the sweep cap: ${res.sweeps}")
+  }
+
+  test("a run stopped at the sweep cap reports that it did not converge") {
+    // A sweep's gain is never negative, so with epsilon = 0 only the cap ends the loop.
+    val g = TestUtil.cliques(2, 4)
+    val p = TxAlloParams(2, 2.0, g.totalWeight / 2, epsilon = 0.0)
+    val res = GTxAllo.run(g, p)
+    assert(!res.converged)
+    assert(res.sweeps == p.maxSweeps)
   }
 }

@@ -40,6 +40,13 @@ class HarnessSpec extends SparkSpec {
     assert(Sweep.Methods.forall(t4.contains))
     val t8 = Tables.runningTimeTable(sweep)
     assert(t8.contains("T8"))
+    assert(t8.contains("G-TxAllo cells stopped at the sweep cap without converging: "))
+  }
+
+  test("the Shard Scheduler runs once per k, so its time is the same for every eta") {
+    sweep.rows.filter(_.method == Sweep.MethodScheduler).groupBy(_.k).values.foreach { rs =>
+      assert(rs.map(_.allocMillis).distinct.size == 1, s"$rs")
+    }
   }
 
   test("evolution runs all strategies over all steps") {

@@ -72,17 +72,6 @@ class MetisSpec extends AnyFunSuite {
     map.foreach(c => assert(c >= 0 && c < coarse.n))
   }
 
-  test("coarsening level stack maps line up") {
-    val g = TestUtil.randomGraph(200, 800, 10, seed = 4)
-    val (levels, maps) = Coarsening.coarsen(g, activity(g), targetN = 32)
-    assert(levels.length == maps.length + 1)
-    levels.foreach { case (lg, w) => assert(w.length == lg.n) }
-    maps.zipWithIndex.foreach { case (m, i) =>
-      assert(m.length == levels(i)._1.n)
-      m.foreach(c => assert(c >= 0 && c < levels(i + 1)._1.n))
-    }
-  }
-
   test("refinement never increases the cut") {
     val g = TestUtil.randomGraph(80, 350, 5, seed = 6)
     val rnd = new scala.util.Random(2)
